@@ -4,8 +4,9 @@ Subcommands:
 
 * ``oracles`` — run the differential/metamorphic oracle suite on the
   smoke corpus (default when no subcommand is given);
-* ``check`` — recompute the smoke-corpus stat digests and compare them
-  against the committed ``results/golden_digests.json``; ``--engine
+* ``check`` — recompute the full-table stat digests and compare them
+  against the committed ``results/golden_digests.json`` (``--programs``
+  narrows it to some rows); ``--engine
   fast`` recomputes them with the fast engine (the goldens are always
   regenerated with the reference engine, so this doubles as an
   equivalence check);
@@ -58,9 +59,14 @@ def main(argv: list[str] | None = None) -> int:
                          default=None,
                          help="execution engine recomputing the digests "
                               "(default: reference)")
+    p_check.add_argument("--programs", nargs="+", default=None,
+                         help="check only these rows (default: every "
+                              "program in the file)")
 
     p_regen = sub.add_parser("regen", help="regenerate golden digests")
     p_regen.add_argument("--path", default=GOLDEN_PATH)
+    p_regen.add_argument("--programs", nargs="+", default=None,
+                         help="programs (default: the full table)")
 
     p_engines = sub.add_parser(
         "engines", help="engine-equivalence oracle over the full table")
@@ -106,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         outcomes = run_all_oracles(tuple(args.programs)
                                    if args.command else SMOKE_CORPUS)
     elif command == "check":
-        outcomes = check_golden(args.path, engine=args.engine)
+        outcomes = check_golden(args.path, engine=args.engine,
+                                programs=args.programs)
     elif command == "engines":
         from repro.verify.oracles import check_engine_equivalence
         outcomes = check_engine_equivalence(
@@ -128,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.verify.smt_oracles import run_smt_oracles
         outcomes = run_smt_oracles(args.programs)
     elif command == "regen":
-        payload = write_golden(args.path)
+        payload = write_golden(args.path, programs=args.programs)
         cells = sum(len(v) for v in payload["digests"].values())
         print(f"wrote {cells} digests for SIM_VERSION "
               f"{payload['sim_version']} to {args.path}")

@@ -1,8 +1,10 @@
 """Committed golden stat digests.
 
 ``results/golden_digests.json`` pins the exact behaviour of the
-simulator on the smoke corpus: one digest per (program, model) cell,
-keyed by ``SIM_VERSION``.  CI recomputes the digests and compares —
+simulator on the full program table: one digest per (program, model)
+cell, keyed by ``SIM_VERSION``.  CI recomputes every digest and
+compares (``python -m repro.verify check``); the tier-1 suite checks
+the smoke-corpus rows of the same file —
 any mismatch means the simulator's timing changed without the version
 being bumped, i.e. an *unintentional* behaviour change slipped in.
 Intentional changes bump ``SIM_VERSION`` (which also invalidates the
@@ -18,7 +20,8 @@ import os
 
 from repro.config import dynamic_config, fixed_config, ideal_config
 from repro.verify.digest import result_digest
-from repro.verify.oracles import SMOKE_CORPUS, _smoke_run, smoke_trace
+from repro.verify.oracles import _smoke_run, smoke_trace
+from repro.workloads import program_names
 
 #: Repo-relative location of the committed golden file.
 GOLDEN_PATH = os.path.join("results", "golden_digests.json")
@@ -39,7 +42,7 @@ def _config_for(model: str):
     raise ValueError(f"unknown golden model {model!r}")
 
 
-def compute_digests(programs=SMOKE_CORPUS, models=GOLDEN_MODELS,
+def compute_digests(programs, models=GOLDEN_MODELS,
                     engine: str | None = None) -> dict[str, dict[str, str]]:
     """Digest every (program, model) golden cell at smoke scale.
 
@@ -62,10 +65,14 @@ def load_golden(path: str = GOLDEN_PATH) -> dict:
         return json.load(fh)
 
 
-def write_golden(path: str = GOLDEN_PATH, programs=SMOKE_CORPUS,
+def write_golden(path: str = GOLDEN_PATH, programs=None,
                  models=GOLDEN_MODELS) -> dict:
-    """Recompute and write the golden file; returns what was written."""
+    """Recompute and write the golden file; returns what was written.
+
+    ``programs`` defaults to the full program table."""
     from repro.pipeline.core import SIM_VERSION
+    if programs is None:
+        programs = program_names()
     payload = {
         "sim_version": SIM_VERSION,
         "corpus": {"programs": list(programs), "models": list(models),
@@ -82,7 +89,7 @@ def write_golden(path: str = GOLDEN_PATH, programs=SMOKE_CORPUS,
 
 
 def check_golden(path: str = GOLDEN_PATH,
-                 engine: str | None = None) -> list:
+                 engine: str | None = None, programs=None) -> list:
     """Compare freshly computed digests against the committed file.
 
     Returns :class:`~repro.verify.oracles.OracleOutcome` records, one
@@ -90,7 +97,8 @@ def check_golden(path: str = GOLDEN_PATH,
     names exactly which program/model cells moved.  ``engine`` selects
     the backend recomputing the digests (the committed file is always
     regenerated with the reference engine; any backend must reproduce
-    it bit for bit).
+    it bit for bit).  ``programs`` restricts the check to those rows
+    of the file (default: every row).
     """
     from repro.pipeline.core import SIM_VERSION
     from repro.verify.oracles import OracleOutcome
@@ -112,7 +120,8 @@ def check_golden(path: str = GOLDEN_PATH,
         # drifted; the version line already says what to do
         return outcomes
     recorded = golden.get("digests", {})
-    programs = golden.get("corpus", {}).get("programs", list(recorded))
+    if programs is None:
+        programs = golden.get("corpus", {}).get("programs", list(recorded))
     models = golden.get("corpus", {}).get("models", list(GOLDEN_MODELS))
     fresh = compute_digests(programs, models, engine=engine)
     for program in programs:
