@@ -53,8 +53,8 @@ FETCH_BUFFER = 24
 #: cache (:mod:`repro.experiments.cache`) keys on it, so bump it whenever
 #: a change can alter any simulated cycle count; host-speed optimisations
 #: that leave timing identical must NOT bump it.
-SIM_VERSION = "3"   # 3: comparator policies fixed (commit wiring, rate
-#                        denominators) — contribution/occupancy runs change
+SIM_VERSION = "4"   # 4: runahead never re-enters on its last trigger —
+#                        runahead runs that re-entered change (libquantum)
 
 # function-unit pools
 _FU_POOL = {

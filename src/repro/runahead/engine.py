@@ -33,7 +33,8 @@ class RunaheadEngine:
         self._cache: dict[int, bool] = {}
         self.active = False
         self._trigger: "InFlightOp | None" = None
-        self._checkpoint_idx = 0
+        #: trace index of the last episode's trigger (-1: none yet)
+        self._checkpoint_idx = -1
         self._episode_misses = 0
         self._episode_fills = 0
         self._rejected_seq = -1
@@ -54,8 +55,16 @@ class RunaheadEngine:
         previous episode already started — cost a full pipeline flush for
         little prefetching; the MICRO'05 enhancements reject them, and so
         do we (minimum remaining latency of half the memory latency).
+
+        Forward progress: the last episode's trigger, re-executed after
+        the checkpoint restore, never starts another episode.  It can
+        miss again — the episode's own fills may evict its line — and
+        re-entering would flush and refetch the same instructions
+        forever.  The rule keys on the trace index, which survives the
+        refetch (``op.seq`` does not).
         """
-        if self.active or op.seq == self._rejected_seq:
+        if (self.active or op.seq == self._rejected_seq
+                or op.trace_idx == self._checkpoint_idx):
             return False
         min_period = self.processor.config.memory.min_latency // 2
         if op.complete_cycle - cycle < min_period:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import base_config, runahead_config
-from repro.pipeline import Processor
+from repro.pipeline import InFlightOp, Processor, simulate
 from repro.runahead import RunaheadCauseStatusTable
+from repro.workloads import trace_for_program
 
 from tests.conftest import (
     DATA_BASE,
@@ -145,3 +146,32 @@ class TestEngine:
         proc.run(until_committed=len(ops))
         # the store was eventually re-executed and committed normally
         assert proc.stats.committed_stores == 1
+
+
+class TestForwardProgress:
+    """The last episode's trigger, re-executed after the checkpoint
+    restore, never starts another episode."""
+
+    def test_refetched_trigger_does_not_reenter(self):
+        proc = run_runahead(stream_with_misses(n_lines=6))
+        engine = proc.runahead
+        assert engine.episodes >= 1
+        # a fresh in-flight instance of the last trigger (new seq, same
+        # trace index), issued and missing, as after a refetch
+        op = InFlightOp(10**6, load(0, dst=1, addr=DATA_BASE),
+                        engine._checkpoint_idx, False)
+        op.issued = True
+        op.l2_miss = True
+        op.complete_cycle = proc.cycle + 10_000
+        assert not engine.consider_entry(op, proc.cycle)
+        assert not engine.active
+
+    def test_evicting_episodes_cannot_livelock(self):
+        """Regression: on this trace each episode's fills evicted the
+        trigger's line, so the re-executed trigger missed again and
+        re-entered runahead on every refetch (171 episodes on one
+        load, then DeadlockError after ~56 s)."""
+        trace = trace_for_program("libquantum", n_ops=3_000, seed=107)
+        result = simulate(runahead_config(), trace, warmup=500,
+                          measure=1_500)
+        assert result.instructions >= 1_500
