@@ -47,8 +47,9 @@ def run(settings: Settings | None = None,
     result.notes.append(
         "paper: resizing beats runahead by ~8% GM on memory-intensive "
         "programs and ~1% on compute-intensive ones; runahead drops below "
-        "base on milc (useless episodes) — in this reproduction the "
-        "useless-episode loss shows up on libquantum instead")
+        "base on milc (useless episodes) — in this reproduction no "
+        "program drops clearly below base (libquantum is lowest, at "
+        "about base)")
     return result
 
 
