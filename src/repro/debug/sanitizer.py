@@ -6,6 +6,9 @@ wrappers as instance attributes of the processor (``proc.step_cycle``,
 of the class methods.  The release path is untouched — a processor
 built with ``sanitize=False`` never takes a debug branch, and the
 wrapped one pays only at cycle granularity, never inside the stages.
+The stages push most events onto the heap inline, past ``_schedule``,
+so the per-cycle check also inspects the heap head: an event left due
+before the current cycle was scheduled in the past.
 
 Checks never mutate simulation state: MSHR occupancy is observed with
 the non-reaping :meth:`~repro.memory.mshr.MSHRFile.in_flight`, window
@@ -135,6 +138,14 @@ class Sanitizer:
         if window.iq.occupancy != iq_truth:
             self._fail(f"IQ occupancy counter {window.iq.occupancy} != "
                        f"{iq_truth} unissued ops actually resident")
+        # the stages push events inline (not through _schedule): every
+        # event due up to now was retired at the top of the step, so a
+        # heap head before now was scheduled in the past
+        checks["event_schedule"] += 1
+        events = proc._events
+        if events and events[0][0] < now:
+            self._fail(f"event kind {events[0][2]} scheduled in the past: "
+                       f"{events[0][0]} < {now}")
         h = proc.hierarchy
         for mshr in (h.l1d_mshr, h.l2_mshr):
             checks["mshr_bound"] += 1

@@ -127,6 +127,10 @@ class MultiCoreSystem:
                         finished.append(idx)
                     else:
                         idle.append(idx)
+                elif core.committed_total >= until_committed_each:
+                    # the cycle that reaches the target is accounted
+                    # alone, as in Processor.run
+                    deltas.append((idx, 1))
                 else:
                     deltas.append((idx, delta))
             active.difference_update(finished)
@@ -141,6 +145,8 @@ class MultiCoreSystem:
                 self.cores[idx].advance(step)
             for idx in idle:
                 self.cores[idx].advance(step)
+        for core in self.cores:
+            core._account_cycles()
 
     # ------------------------------------------------------------------
 

@@ -13,18 +13,16 @@ grown and shrunk at run time — the substrate the paper's contribution
 """
 
 from repro.pipeline.resources import WindowResource, WindowSet
-from repro.pipeline.core import Processor, InFlightOp, simulate
-from repro.pipeline.engine import (
+from repro.pipeline.core import (
     ENGINE_NAMES,
-    Engine,
-    FastEngine,
-    ReferenceEngine,
+    InFlightOp,
+    Processor,
     get_engine,
+    simulate,
 )
 from repro.pipeline.tracer import PipelineTracer, OpRecord
 from repro.pipeline.smt import SMTProcessor, SMTRun, simulate_smt
 
 __all__ = ["WindowResource", "WindowSet", "Processor", "InFlightOp",
-           "simulate", "PipelineTracer", "OpRecord",
-           "Engine", "ReferenceEngine", "FastEngine", "get_engine",
+           "simulate", "PipelineTracer", "OpRecord", "get_engine",
            "ENGINE_NAMES", "SMTProcessor", "SMTRun", "simulate_smt"]

@@ -19,16 +19,18 @@ This is the SimpleScalar-replacement substrate of the reproduction: a
 * in-order commit, branch misprediction recovery with a level-dependent
   penalty, and the level-transition machinery of the resizing scheme.
 
-The main loop is cycle-driven but *fast-forwards* over provably idle
-cycles (long memory stalls), which keeps memory-bound simulations fast
-without changing observable timing.
+The main loop (:meth:`Processor.run`) is cycle-driven but
+*fast-forwards* over provably idle cycles (long memory stalls, waits on
+in-flight writebacks), which keeps memory-bound simulations fast without
+changing observable timing.  Each stage is one method whose per-op work
+is written inline and whose counters are added once per call.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from repro.config import ModelKind, ProcessorConfig
@@ -75,6 +77,12 @@ _FU_POOLS = ("int_alu", "int_mul_div", "mem_ports", "fp_alu", "fp_mul_div")
 #: OpClass (an IntEnum) -> pool index, for dict-free hot-path lookups
 _FU_INDEX = tuple(_FU_POOLS.index(_FU_POOL[OpClass(i)])
                   for i in range(len(OpClass)))
+#: EXEC_LATENCY as a dense tuple indexed by OpClass value (same trick)
+_EXEC_LAT = tuple(EXEC_LATENCY[OpClass(i)] for i in range(len(OpClass)))
+_LOAD_LATENCY = EXEC_LATENCY[OpClass.LOAD]
+_STORE_LATENCY = EXEC_LATENCY[OpClass.STORE]
+_CORRECT_PATH = AccessPath.CORRECT
+_WRONG_PATH = AccessPath.WRONG
 
 # event kinds
 _EV_COMPLETE = 0
@@ -132,10 +140,6 @@ class InFlightOp:
 class Processor:
     """One simulated processor instance running one trace."""
 
-    #: SMT subclasses set True; the fast engine checks this to defer to
-    #: the reference stepper (see :mod:`repro.pipeline.smt`)
-    is_smt = False
-
     def __init__(self, config: ProcessorConfig, trace: "Trace",
                  policy: ResizingPolicy | None = None,
                  hierarchy: MemoryHierarchy | None = None,
@@ -174,12 +178,16 @@ class Processor:
 
         # timing state
         self.cycle = 0
+        #: first cycle not yet in the cycle-proportional statistics
+        #: (see _account_cycles)
+        self._seg_start = 0
         self.committed_total = 0
         self._seq = 0
         self._events: list[tuple[int, int, int, object]] = []
         self._event_seq = 0
 
         # fetch state
+        self._n_trace_ops = len(trace.ops)
         self._trace_idx = 0
         self._wrong_mode = False
         self._wrong_branch: InFlightOp | None = None
@@ -199,17 +207,9 @@ class Processor:
         #: older stores to the *same* address, never against unrelated
         #: stores with unresolved addresses).
         self._pending_stores: dict[int, InFlightOp] = {}
-        self._fu_limits = {
-            "int_alu": config.fu.int_alu,
-            "int_mul_div": config.fu.int_mul_div,
-            "mem_ports": config.fu.mem_ports,
-            "fp_alu": config.fu.fp_alu,
-            "fp_mul_div": config.fu.fp_mul_div,
-        }
         # hot-path vectors/scalars (indexed by _FU_INDEX / hoisted out of
-        # the per-cycle stages; FU usage is reset each issue cycle)
-        self._fu_limit_vec = [self._fu_limits[p] for p in _FU_POOLS]
-        self._fu_used_vec = [0] * len(_FU_POOLS)
+        # the per-cycle stages)
+        self._fu_limit_vec = [getattr(config.fu, p) for p in _FU_POOLS]
         self._width = config.width
         self._l1i_line_bytes = config.l1i.line_bytes
         self._l1i_hit_latency = config.l1i.hit_latency
@@ -226,6 +226,8 @@ class Processor:
         # resizing state
         self._alloc_stall_until = 0
         self._stop_alloc = False
+        #: commit-block reason charged for the slots of jumped-over
+        #: cycles (classified when step_cycle decides the jump)
         self._last_stall_reason: str | None = None
         #: True when the last fast-forward target was set by a policy
         #: timer that fired strictly before any machine event — the
@@ -277,6 +279,9 @@ class Processor:
                          window.rob.max_capacity, window.lsq.max_capacity)
 
     def _apply_level(self, new_level: int) -> None:
+        # level, capacities and the allocation stall change here: close
+        # the accounting segment they held over
+        self._account_cycles()
         if new_level > self.level:
             self.stats.enlarge_transitions += 1
         else:
@@ -303,43 +308,61 @@ class Processor:
         _heappush(self._events, (cycle, self._event_seq, kind, payload))
 
     def _process_events(self) -> int:
-        processed = 0
+        """Retire every event due this cycle: completions (branch
+        resolution, store-to-load forwarding, consumer wakeup), delayed
+        wakeups and runahead exits.  Returns the number of events."""
         events = self._events
-        while events and events[0][0] <= self.cycle:
-            __, ___, kind, payload = _heappop(events)
+        now = self.cycle
+        wakeup_delay = self.extra_wakeup_delay
+        es = self._event_seq
+        processed = completed = 0
+        while events and events[0][0] <= now:
+            __, ___, kind, op = _heappop(events)
             processed += 1
             if kind == _EV_COMPLETE:
-                self._complete_op(payload)
-            elif kind == _EV_WAKE:
-                self._wake_consumers(payload)
+                if op.squashed or op.complete:
+                    continue
+                op.complete = True
+                op.complete_cycle = now
+                completed += 1
+                uop = op.uop
+                if uop.is_branch and op.branch_token is not None:
+                    self._resolve_branch(op)
+                elif uop.is_store and op.fwd_waiters:
+                    # the store executed: satisfy loads waiting to forward
+                    for load in op.fwd_waiters:
+                        if not load.squashed:
+                            es += 1
+                            _heappush(events,
+                                      (now + 1, es, _EV_COMPLETE, load))
+                    op.fwd_waiters = None
+                # A pipelined wakeup/select loop of depth d forbids
+                # back-to-back dependent issue: the consumer cannot issue
+                # before producer_issue + d.  For producers whose
+                # execution latency is at least d the broadcast has
+                # already caught up, so only short-latency producers (the
+                # ILP-critical IALU chains) pay.
+                latency = now - op.issue_cycle
+                delay = wakeup_delay + 1 - (latency if latency > 1 else 1)
+                if delay > 0:
+                    op.woken_at = now + delay
+                    es += 1
+                    _heappush(events, (now + delay, es, _EV_WAKE, op))
+                    continue
+                op.woken_at = now
             elif kind == _EV_RA_EXIT:
-                self.runahead.exit_runahead(self.cycle)
+                self.runahead.exit_runahead(now)
+                continue
+            # an undelayed completion or an _EV_WAKE
+            if op.consumers:
+                self._wake_consumers(op)
+        self._event_seq = es
+        if completed:
+            self.stats.activity.iq_wakeups += completed
         return processed
 
-    def _complete_op(self, op: InFlightOp) -> None:
-        if op.squashed or op.complete:
-            return
-        op.complete = True
-        op.complete_cycle = self.cycle
-        if op.uop.is_branch and op.branch_token is not None:
-            self._resolve_branch(op)
-        # A pipelined wakeup/select loop of depth d forbids back-to-back
-        # dependent issue: the consumer cannot issue before
-        # producer_issue + d.  For producers whose execution latency is
-        # at least d the broadcast has already caught up, so only
-        # short-latency producers (the ILP-critical IALU chains) pay.
-        if op.uop.is_store:
-            self._store_executed(op)
-        latency = max(1, self.cycle - op.issue_cycle)
-        delay = max(0, self.extra_wakeup_delay + 1 - latency)
-        op.woken_at = self.cycle + delay
-        self.stats.activity.iq_wakeups += 1
-        if delay == 0:
-            self._wake_consumers(op)
-        else:
-            self._schedule(op.woken_at, _EV_WAKE, op)
-
     def _wake_consumers(self, op: InFlightOp) -> None:
+        """Broadcast ``op``'s result to its consumers now."""
         consumers = op.consumers
         if not consumers:
             return
@@ -407,50 +430,77 @@ class Processor:
     # commit
 
     def _commit_stage(self) -> int:
-        committed = 0
+        """Retire up to ``width`` complete ops from the ROB head (in
+        runahead mode: pseudo-retire complete or INV ops), then charge
+        the unused commit slots to the head's stall reason."""
         rob = self.rob
         width = self._width
-        window = self.window
-        rob_release = window.rob.release
-        lsq_release = window.lsq.release
         engine = self.runahead
-        in_runahead = engine is not None and engine.active
-        while rob and committed < width:
-            op = rob[0]
-            if in_runahead:
-                if not engine.can_pseudo_retire(op):
-                    break
-                rob.popleft()
-                engine.pseudo_retire(op, self.cycle)
-                rob_release()
-                if op.uop.is_mem:
-                    lsq_release()
-                committed += 1
-                continue
-            if not op.complete:
-                if (engine is not None and op.uop.is_load and op.l2_miss
-                        and op.issued):
-                    if engine.consider_entry(op, self.cycle):
+        committed = 0
+        if rob and (rob[0].complete or engine is not None):
+            now = self.cycle
+            stats = self.stats
+            tracer = self.tracer
+            pending_stores = self._pending_stores
+            in_runahead = engine is not None and engine.active
+            retired = mem = loads = stores = branches = mispredicts = 0
+            while rob and committed < width:
+                op = rob[0]
+                uop = op.uop
+                if in_runahead:
+                    if not engine.can_pseudo_retire(op):
+                        break
+                    rob.popleft()
+                    engine.pseudo_retire(op, now)
+                elif op.complete:
+                    rob.popleft()
+                    retired += 1
+                    if tracer is not None:
+                        tracer.on_commit(op, now)
+                    if uop.is_load:
+                        loads += 1
+                    elif uop.is_store:
+                        stores += 1
+                        word = uop.addr & ~7
+                        if pending_stores.get(word) is op:
+                            del pending_stores[word]
+                        self.hierarchy.store(uop.addr, now, _CORRECT_PATH)
+                    elif uop.is_branch:
+                        branches += 1
+                        if op.mispredicted:
+                            mispredicts += 1
+                            stats.note_mispredict_commit(
+                                stats.committed_uops + retired)
+                else:
+                    if (engine is not None and uop.is_load and op.l2_miss
+                            and op.issued
+                            and engine.consider_entry(op, now)):
                         in_runahead = True
                         continue
-                break
-            rob.popleft()
-            rob_release()
-            if op.uop.is_mem:
-                lsq_release()
-            self._commit_op(op)
-            committed += 1
-        if committed:
-            # keep the WindowSet's commit counter current: feedback
-            # policies (ContributionPolicy) read their commit-throughput
-            # signal from it at tick time
-            window.committed += committed
+                    break
+                if uop.is_mem:
+                    mem += 1
+                committed += 1
+            if committed:
+                window = self.window
+                window.rob.release(committed)
+                if mem:
+                    window.lsq.release(mem)
+                # keep the WindowSet's commit counter current: feedback
+                # policies (ContributionPolicy) read their
+                # commit-throughput signal from it at tick time
+                window.committed += committed
+            if retired:
+                self.committed_total += retired
+                stats.committed_uops += retired
+                stats.committed_loads += loads
+                stats.committed_stores += stores
+                stats.committed_branches += branches
+                stats.committed_mispredicts += mispredicts
+                stats.activity.rob_reads += retired
         if committed < width:
-            reason = self._classify_commit_block()
-            self.stats.note_stall_slots(reason, width - committed)
-            self._last_stall_reason = reason
-        else:
-            self._last_stall_reason = None
+            self.stats.note_stall_slots(self._classify_commit_block(),
+                                        width - committed)
         return committed
 
     def _classify_commit_block(self) -> str:
@@ -475,326 +525,308 @@ class Processor:
             return "deps"
         return "issue"
 
-    def _commit_op(self, op: InFlightOp) -> None:
-        uop = op.uop
-        self.committed_total += 1
-        if self.tracer is not None:
-            self.tracer.on_commit(op, self.cycle)
-        stats = self.stats
-        stats.committed_uops += 1
-        if uop.is_load:
-            stats.committed_loads += 1
-        elif uop.is_store:
-            stats.committed_stores += 1
-            word = uop.addr & ~7
-            if self._pending_stores.get(word) is op:
-                del self._pending_stores[word]
-            self.hierarchy.store(uop.addr, self.cycle, AccessPath.CORRECT)
-        elif uop.is_branch:
-            stats.committed_branches += 1
-            if op.mispredicted:
-                stats.committed_mispredicts += 1
-                stats.note_mispredict_commit()
-        stats.activity.rob_reads += 1
-
     # ------------------------------------------------------------------
     # issue
 
     def _issue_stage(self) -> int:
+        """Oldest-first select of up to ``width`` ready ops under the
+        function-unit limits; each issued op schedules its completion
+        (loads through store forwarding or the memory hierarchy)."""
         ready = self._ready
-        if not ready:
-            return 0
-        issued = 0
-        budget = self._width
-        fu_used = self._fu_used_vec
-        fu_used[0] = fu_used[1] = fu_used[2] = fu_used[3] = fu_used[4] = 0
-        fu_limits = self._fu_limit_vec
-        deferred: list[tuple[int, InFlightOp]] = []
-        defer = deferred.append
-        scans = 0
         now = self.cycle
-        while ready and issued < budget and scans < 32:
+        width = self._width
+        fu_used = [0, 0, 0, 0, 0]       # per pool, this cycle
+        fu_limits = self._fu_limit_vec
+        events = self._events
+        es = self._event_seq
+        pending_stores = self._pending_stores
+        engine = self.runahead
+        ra_active = engine is not None and engine.active
+        deferred = []
+        issued = scans = iq_freed = loads = l1d = 0
+        while ready and issued < width and scans < 32:
             scans += 1
             item = _heappop(ready)
             op = item[1]
             if op.squashed or op.issued:
                 continue
-            if op.ready_cycle > now:
-                defer(item)
-                continue
-            pool = _FU_INDEX[op.uop.op]
-            if fu_used[pool] >= fu_limits[pool]:
-                defer(item)
+            uop = op.uop
+            pool = _FU_INDEX[uop.op]
+            if op.ready_cycle > now or fu_used[pool] >= fu_limits[pool]:
+                deferred.append(item)
                 continue
             fu_used[pool] += 1
-            self._issue_op(op)
             issued += 1
+            op.issued = True
+            op.issue_cycle = now
+            if op.in_iq:
+                op.in_iq = False
+                iq_freed += 1
+            if op.inherit_inv:
+                op.inv = True
+            if uop.is_load:
+                loads += 1
+                addr_ready = now + _LOAD_LATENCY
+                op.addr_known_cycle = addr_ready
+                if op.inv:
+                    # runahead INV address: INV result, no memory access
+                    done = addr_ready + 1
+                else:
+                    word = uop.addr & ~7
+                    store = pending_stores.get(word)
+                    if (store is not None and not store.squashed
+                            and store.seq < op.seq):
+                        op.forwarded = True
+                        if store.inv:
+                            op.inv = True
+                        if not store.complete:
+                            # forward once the producing store executes
+                            if store.fwd_waiters is None:
+                                store.fwd_waiters = [op]
+                            else:
+                                store.fwd_waiters.append(op)
+                            continue
+                        done = max(addr_ready, store.complete_cycle) + 1
+                    elif ra_active and engine.cache_hit(word):
+                        op.forwarded = True
+                        done = addr_ready + 1
+                    elif ra_active and not engine.may_issue_fill(
+                            self.hierarchy, addr_ready):
+                        # miss buffers saturated / episode fill budget
+                        # exhausted: drop the runahead fill, INV the load
+                        op.inv = True
+                        done = addr_ready + 2
+                    else:
+                        l1d += 1
+                        result = self.hierarchy.load(
+                            uop.addr, addr_ready, uop.pc,
+                            _WRONG_PATH if op.wrong_path else _CORRECT_PATH)
+                        done = result.complete_cycle
+                        # recorded eagerly: the runahead engine times its
+                        # exit from it while the load is still incomplete
+                        op.complete_cycle = done
+                        if result.l2_miss:
+                            op.l2_miss = True
+                            if not op.wrong_path:
+                                self.stats.demand_miss_intervals.append(
+                                    (addr_ready, done))
+                        if ra_active and (
+                                result.l2_miss or done - addr_ready
+                                > self.config.l2.hit_latency + 8):
+                            # Runahead: a long-latency load (a fresh L2
+                            # miss, or a merge into a line another miss
+                            # is still fetching) gets an INV result now
+                            # while its fill proceeds underneath (the
+                            # prefetching effect); blocking on it would
+                            # stall pseudo-retirement for the episode.
+                            op.inv = True
+                            if result.l2_miss:
+                                engine.note_episode_miss()
+                            done = addr_ready + 2
+            elif uop.is_store:
+                done = now + _STORE_LATENCY
+                op.addr_known_cycle = done
+                if ra_active and not op.inv:
+                    engine.cache_write(uop.addr & ~7)
+            else:
+                done = now + _EXEC_LAT[uop.op]
+            es += 1
+            _heappush(events, (done, es, _EV_COMPLETE, op))
         for item in deferred:
             _heappush(ready, item)
+        self._event_seq = es
+        if issued:
+            if iq_freed:
+                self.window.iq.release(iq_freed)
+            stats = self.stats
+            stats.issued_uops += issued
+            activity = stats.activity
+            activity.iq_issues += issued
+            activity.fu_ops += issued
+            activity.lsq_searches += loads
+            activity.l1d_accesses += l1d
         return issued
-
-    def _issue_op(self, op: InFlightOp) -> None:
-        now = self.cycle
-        op.issued = True
-        op.issue_cycle = now
-        if op.in_iq:
-            self.window.iq.release()
-            op.in_iq = False
-        stats = self.stats
-        stats.issued_uops += 1
-        stats.activity.iq_issues += 1
-        stats.activity.fu_ops += 1
-        if op.inherit_inv:
-            op.inv = True
-        uop = op.uop
-        if uop.is_load:
-            self._issue_load(op)
-        elif uop.is_store:
-            self._issue_store(op)
-        else:
-            latency = EXEC_LATENCY[uop.op]
-            self._schedule(now + latency, _EV_COMPLETE, op)
-
-    # ----- loads / stores --------------------------------------------
-
-    def _issue_load(self, op: InFlightOp) -> None:
-        addr_ready = self.cycle + EXEC_LATENCY[OpClass.LOAD]
-        op.addr_known_cycle = addr_ready
-        self.stats.activity.lsq_searches += 1
-        if op.inv:
-            # Runahead INV address: produce INV without touching memory.
-            self._schedule(addr_ready + 1, _EV_COMPLETE, op)
-            return
-        word = op.uop.addr & ~7
-        store = self._pending_stores.get(word)
-        if store is not None and not store.squashed and store.seq < op.seq:
-            op.forwarded = True
-            if self.runahead is not None and store.inv:
-                op.inv = True
-            if store.complete:
-                self._schedule(max(addr_ready, store.complete_cycle) + 1,
-                               _EV_COMPLETE, op)
-            else:
-                # Forward once the producing store has executed.
-                if store.fwd_waiters is None:
-                    store.fwd_waiters = [op]
-                else:
-                    store.fwd_waiters.append(op)
-            return
-        if (self.runahead is not None and self.runahead.active
-                and self.runahead.cache_hit(word)):
-            op.forwarded = True
-            self._schedule(addr_ready + 1, _EV_COMPLETE, op)
-            return
-        self._start_memory_access(op, addr_ready)
-
-    def _start_memory_access(self, op: InFlightOp, start: int) -> None:
-        uop = op.uop
-        path = AccessPath.WRONG if op.wrong_path else AccessPath.CORRECT
-        engine = self.runahead
-        if engine is not None and engine.active and not engine.may_issue_fill(
-                self.hierarchy, start):
-            # Miss buffers saturated / episode fill budget exhausted:
-            # drop the runahead fill and INV the load.
-            op.inv = True
-            self._schedule(start + 2, _EV_COMPLETE, op)
-            return
-        self.stats.activity.l1d_accesses += 1
-        result = self.hierarchy.load(uop.addr, start, uop.pc, path)
-        # Record the scheduled fill time eagerly: the runahead engine needs
-        # it to time its exit while the load is still incomplete.
-        op.complete_cycle = result.complete_cycle
-        if result.l2_miss:
-            op.l2_miss = True
-            if not op.wrong_path:
-                self.stats.demand_miss_intervals.append(
-                    (start, result.complete_cycle))
-        engine = self.runahead
-        if engine is not None and engine.active:
-            # Runahead: a long-latency load (a fresh L2 miss, or a merge
-            # into a line another miss is still fetching) gets an INV
-            # result immediately while its fill proceeds underneath (the
-            # prefetching effect).  Blocking on it would stall
-            # pseudo-retirement for the rest of the episode.
-            long_latency = (result.complete_cycle - start
-                            > self.config.l2.hit_latency + 8)
-            if result.l2_miss or long_latency:
-                op.inv = True
-                if result.l2_miss:
-                    engine.note_episode_miss()
-                self._schedule(start + 2, _EV_COMPLETE, op)
-                return
-        self._schedule(result.complete_cycle, _EV_COMPLETE, op)
-
-    def _issue_store(self, op: InFlightOp) -> None:
-        addr_ready = self.cycle + EXEC_LATENCY[OpClass.STORE]
-        op.addr_known_cycle = addr_ready
-        engine = self.runahead
-        if engine is not None and engine.active and not op.inv:
-            engine.cache_write(op.uop.addr & ~7)
-        self._schedule(addr_ready, _EV_COMPLETE, op)
-
-    def _store_executed(self, op: InFlightOp) -> None:
-        """A store finished executing: satisfy loads waiting to forward."""
-        waiters = op.fwd_waiters
-        if not waiters:
-            return
-        op.fwd_waiters = None
-        now = self.cycle
-        for load in waiters:
-            if load.squashed:
-                continue
-            self._schedule(now + 1, _EV_COMPLETE, load)
 
     # ------------------------------------------------------------------
     # dispatch
 
     def _dispatch_stage(self) -> int:
-        if self.cycle < self._alloc_stall_until or self._stop_alloc:
-            if self._decode_q:
-                self.stats.dispatch_stall_cycles += 1
-            return 0
-        dispatched = 0
-        width = self._width
+        """Rename decoded ops into the ROB/IQ/LSQ window, in order, until
+        the width, the decode queue or window room runs out."""
         queue = self._decode_q
-        window = self.window
+        if not queue:
+            return 0
         now = self.cycle
-        while queue and dispatched < width:
+        stats = self.stats
+        if now < self._alloc_stall_until or self._stop_alloc:
+            stats.dispatch_stall_cycles += 1
+            return 0
+        ready_at, op = queue[0]
+        if ready_at > now:
+            return 0
+        window = self.window
+        rob_room = window.rob.capacity - window.rob.occupancy
+        iq_room = window.iq.capacity - window.iq.occupancy
+        lsq_room = window.lsq.capacity - window.lsq.occupancy
+        width = self._width
+        ready = self._ready
+        regmap = self._map
+        map_get = regmap.get
+        rob_append = self.rob.append
+        pending_stores = self._pending_stores
+        dispatched = mem = wrong = 0
+        stalled = False
+        while True:
+            uop = op.uop
+            is_mem = uop.is_mem
+            if rob_room < 1 or iq_room < 1 or (is_mem and lsq_room < 1):
+                stalled = True
+                break
+            queue.popleft()
+            rob_room -= 1
+            iq_room -= 1
+            if is_mem:
+                lsq_room -= 1
+                mem += 1
+            if op.wrong_path:
+                wrong += 1
+            op.dispatch_cycle = now
+            op.in_iq = True
+            pending = 0
+            for src in uop.srcs:
+                producer = map_get(src)
+                if producer is None or producer.squashed:
+                    continue
+                if 0 <= producer.woken_at <= now:
+                    if producer.inv:
+                        op.inherit_inv = True
+                    continue
+                if producer.consumers is None:
+                    producer.consumers = [op]
+                else:
+                    producer.consumers.append(op)
+                pending += 1
+            op.pending_srcs = pending
+            op.ready_cycle = now + 1
+            if pending == 0:
+                _heappush(ready, (op.seq, op))
+            if uop.dst != REG_INVALID:
+                regmap[uop.dst] = op
+            rob_append(op)
+            if uop.is_store:
+                pending_stores[uop.addr & ~7] = op
+            dispatched += 1
+            if dispatched >= width or not queue:
+                break
             ready_at, op = queue[0]
             if ready_at > now:
                 break
-            is_mem = op.uop.is_mem
-            need_lsq = 1 if is_mem else 0
-            if not window.has_room(1, 1, need_lsq):
-                # record exactly once per stalled cycle (the query above
-                # is side-effect free), keeping full_events == number of
-                # cycles the resource blocked allocation
-                window.note_alloc_stall(1, 1, need_lsq)
-                self.stats.dispatch_stall_cycles += 1
-                break
-            queue.popleft()
-            self._dispatch_op(op)
-            dispatched += 1
+        if dispatched:
+            window.rob.allocate(dispatched)
+            window.iq.allocate(dispatched)
+            if mem:
+                window.lsq.allocate(mem)
+            stats.dispatched_uops += dispatched
+            stats.wrong_path_uops += wrong
+            activity = stats.activity
+            activity.renames += dispatched
+            activity.iq_writes += dispatched
+            activity.rob_writes += dispatched
+        if stalled:
+            # record exactly once per stalled cycle, keeping full_events
+            # == number of cycles the resource blocked allocation
+            window.note_alloc_stall(1, 1, 1 if op.uop.is_mem else 0)
+            stats.dispatch_stall_cycles += 1
         return dispatched
-
-    def _dispatch_op(self, op: InFlightOp) -> None:
-        window = self.window
-        uop = op.uop
-        op.dispatch_cycle = self.cycle
-        window.rob.allocate()
-        window.iq.allocate()
-        op.in_iq = True
-        if uop.is_mem:
-            window.lsq.allocate()
-        stats = self.stats
-        stats.dispatched_uops += 1
-        if op.wrong_path:
-            stats.wrong_path_uops += 1
-        activity = stats.activity
-        activity.renames += 1
-        activity.iq_writes += 1
-        activity.rob_writes += 1
-
-        now = self.cycle
-        pending = 0
-        map_get = self._map.get
-        for src in uop.srcs:
-            producer = map_get(src)
-            if producer is None or producer.squashed:
-                continue
-            if producer.woken_at >= 0 and producer.woken_at <= now:
-                if producer.inv:
-                    op.inherit_inv = True
-                continue
-            if producer.consumers is None:
-                producer.consumers = [op]
-            else:
-                producer.consumers.append(op)
-            pending += 1
-        op.pending_srcs = pending
-        op.ready_cycle = now + 1
-        if pending == 0:
-            _heappush(self._ready, (op.seq, op))
-        if uop.dst != REG_INVALID:
-            self._map[uop.dst] = op
-        self.rob.append(op)
-        if uop.is_store:
-            self._pending_stores[uop.addr & ~7] = op
 
     # ------------------------------------------------------------------
     # fetch
 
     def _fetch_stage(self) -> int:
+        """Fetch up to ``width`` ops into the decode queue: trace ops on
+        the correct path (predicting branches), synthesized ops on a
+        mispredicted path, stopping at a predicted-taken branch or an
+        I-cache miss."""
         now = self.cycle
         if now < self._fetch_stall_until:
             self.stats.fetch_stall_cycles += 1
             return 0
-        fetched = 0
-        width = self._width
         queue = self._decode_q
-        activity = self.stats.activity
         trace_ops = self.trace.ops
         n_trace_ops = len(trace_ops)
+        wrong_mode = self._wrong_mode
+        trace_idx = self._trace_idx
+        if len(queue) >= FETCH_BUFFER or (not wrong_mode
+                                          and trace_idx >= n_trace_ops):
+            return 0
+        width = self._width
         l1i_line = self._l1i_line_bytes
         l1i_hit = self._l1i_hit_latency
+        last_line = self._last_fetch_line
+        wrong_k = self._wrong_k
+        seq = self._seq
+        decoded_at = now + DECODE_LATENCY
+        fetched = l1i = branches = 0
         while fetched < width and len(queue) < FETCH_BUFFER:
-            if self._wrong_mode:
+            if wrong_mode:
                 uop = self.trace.wrong_path.op_at(self._wrong_base_pc,
-                                                  self._wrong_k)
-                trace_idx = -1
+                                                  wrong_k)
+                op_idx = -1
+            elif trace_idx < n_trace_ops:
+                uop = trace_ops[trace_idx]
+                op_idx = trace_idx
             else:
-                if self._trace_idx >= n_trace_ops:
-                    break
-                uop = trace_ops[self._trace_idx]
-                trace_idx = self._trace_idx
+                break
             # I-cache access on a new line
-            line = uop.pc - (uop.pc % l1i_line)
-            if line != self._last_fetch_line:
-                activity.l1i_accesses += 1
-                done = self.hierarchy.ifetch(uop.pc, now)
-                self._last_fetch_line = line
+            pc = uop.pc
+            line = pc - pc % l1i_line
+            if line != last_line:
+                l1i += 1
+                done = self.hierarchy.ifetch(pc, now)
+                last_line = line
                 if done > now + l1i_hit:
                     self._fetch_stall_until = done
                     break
-            self._seq += 1
-            op = InFlightOp(self._seq, uop, trace_idx, self._wrong_mode)
+            seq += 1
+            op = InFlightOp(seq, uop, op_idx, wrong_mode)
             op.fetch_cycle = now
-            activity.fetches += 1
-            activity.decodes += 1
-            end_cycle = False
-            if self._wrong_mode:
-                self._wrong_k += 1
-                end_cycle = uop.is_branch     # taken wrong-path branch
-            elif uop.is_branch:
-                end_cycle = self._fetch_branch(op)
-            else:
-                self._trace_idx += 1
-            queue.append((now + DECODE_LATENCY, op))
+            queue.append((decoded_at, op))
             fetched += 1
-            if end_cycle:
-                break
-        return fetched
-
-    def _fetch_branch(self, op: InFlightOp) -> bool:
-        """Predict a correct-path branch; returns True if fetch must stop
-        this cycle (predicted-taken redirect bubble)."""
-        uop = op.uop
+            if wrong_mode:
+                wrong_k += 1
+                if uop.is_branch:
+                    break     # taken wrong-path branch
+                continue
+            trace_idx += 1
+            if uop.is_branch:
+                # predict the correct-path branch; a predicted-taken
+                # redirect ends the fetch block
+                branches += 1
+                pred_taken, pred_target, token = self.predictor.predict(
+                    pc, pc + 4)
+                op.branch_token = token
+                taken = uop.taken
+                if pred_taken != taken or (taken
+                                           and pred_target != uop.target):
+                    op.mispredicted = True
+                    wrong_mode = True
+                    self._wrong_branch = op
+                    self._wrong_base_pc = (pred_target if pred_taken
+                                           else pc + 4)
+                    wrong_k = 0
+                if pred_taken:
+                    break
+        self._last_fetch_line = last_line
+        self._wrong_mode = wrong_mode
+        self._trace_idx = trace_idx
+        self._wrong_k = wrong_k
+        self._seq = seq
         activity = self.stats.activity
-        activity.bpred_lookups += 1
-        pred_taken, pred_target, token = self.predictor.predict(
-            uop.pc, uop.pc + 4)
-        op.branch_token = token
-        self._trace_idx += 1
-        actual_taken = uop.taken
-        mispredicted = (pred_taken != actual_taken
-                        or (actual_taken and pred_target != uop.target))
-        op.mispredicted = mispredicted
-        if mispredicted:
-            self._wrong_mode = True
-            self._wrong_branch = op
-            self._wrong_base_pc = pred_target if pred_taken else uop.pc + 4
-            self._wrong_k = 0
-        return pred_taken
+        activity.fetches += fetched
+        activity.decodes += fetched
+        activity.l1i_accesses += l1i
+        activity.bpred_lookups += branches
+        return fetched
 
     # ------------------------------------------------------------------
     # resizing
@@ -815,21 +847,26 @@ class Processor:
     # ------------------------------------------------------------------
     # main loop
 
-    def _advance_accounting(self, delta: int) -> None:
+    def _account_cycles(self) -> None:
+        """Add the cycles of [``_seg_start``, ``cycle``) to the
+        cycle-proportional statistics: cycle count, level residency,
+        active/maximum capacity integrals and transition-stall cycles.
+
+        Level, capacities and ``_alloc_stall_until`` are constant over
+        such a segment because :meth:`_apply_level` closes it before
+        changing them, so one closed-form update equals per-cycle
+        accounting.  :meth:`run` and :meth:`result` close it too, which
+        keeps ``stats`` exact after every ``run()`` call.
+        """
+        start = self._seg_start
+        end = self.cycle
+        delta = end - start
+        if delta <= 0:
+            return
+        self._seg_start = end
         stats = self.stats
         stats.cycles += delta
         stats.note_level_cycles(self.level, delta)
-        if delta > 1:
-            # fast-forwarded cycles: the machine state is frozen, so the
-            # commit-block reason of the last simulated cycle persists —
-            # unless the jump target was a policy timer firing before
-            # any machine event, in which case the skipped slots belong
-            # to the resize controller's own schedule
-            if self._ff_timer_jump:
-                reason = "policy_timer"
-            else:
-                reason = self._last_stall_reason or "frontend"
-            stats.note_stall_slots(reason, (delta - 1) * self._width)
         activity = stats.activity
         iq_c, rob_c, lsq_c, iq_m, rob_m, lsq_m = self._cap_vec
         activity.iq_size_cycles += iq_c * delta
@@ -838,40 +875,113 @@ class Processor:
         activity.iq_max_cycles += iq_m * delta
         activity.rob_max_cycles += rob_m * delta
         activity.lsq_max_cycles += lsq_m * delta
-        if self.cycle < self._alloc_stall_until:
-            stats.transition_stall_cycles += min(
-                delta, self._alloc_stall_until - self.cycle)
+        if start < self._alloc_stall_until:
+            stats.transition_stall_cycles += (
+                min(end, self._alloc_stall_until) - start)
+
+    def _advance_accounting(self, delta: int) -> None:
+        """Charge the commit slots of the ``delta - 1`` cycles a jump
+        skips (the stepped cycle charged its own in the commit stage).
+
+        The machine state is frozen over them, so the commit-block
+        reason classified at the jump holds for each — unless the jump
+        target was a policy timer firing before any machine event, in
+        which case the skipped slots belong to the resize controller's
+        own schedule."""
+        if self._ff_timer_jump:
+            reason = "policy_timer"
+        else:
+            reason = self._last_stall_reason or "frontend"
+        self.stats.note_stall_slots(reason, (delta - 1) * self._width)
 
     def step_cycle(self) -> int:
-        """Simulate the current cycle through every stage.
+        """Simulate the current cycle through every stage, in order:
+        events → commit → issue → policy → dispatch → fetch.
 
-        Returns the suggested cycle delta: 1 normally, larger when the
-        core is provably idle until a known future event (the caller may
-        advance by any amount between 1 and the returned delta), and 0
-        when the trace has fully drained.  The caller must follow up
-        with :meth:`advance`.
+        Returns the suggested cycle delta: 1 while some stage may work
+        next cycle, larger when the core is provably idle until a known
+        future cycle (the caller may advance by any amount between 1 and
+        the returned delta), and 0 when the trace has fully drained.
+        The caller must follow up with :meth:`advance`.
+
+        A jump skips only cycles in which no stage could change
+        architectural or timing state.  Two proof obligations make that
+        sound (DESIGN.md §6):
+
+        1. *Machine quiescence.*  Completion and wakeup travel through
+           the event heap; commit needs a complete ROB head; dispatch a
+           decoded op, allocation permission and window room; fetch a
+           released stall, trace ops and buffer space.  Each blocked
+           condition is stable until an event fires or a tracked release
+           cycle arrives (event-heap head, fetch/allocation stall
+           release, decode-queue head), so jumping to the earliest of
+           those cannot skip a cycle in which work was possible — even
+           right after a cycle that did work.
+        2. *Policy quiescence.*  A resizing policy that does not request
+           ``wants_tick_every_cycle`` must keep its tick state-neutral
+           on every cycle strictly before ``next_timer()``.  The policy
+           is ticked on every stepped cycle and a jump never passes
+           ``next_timer()``.
+
+        The runahead model, whose commit stage can act on an incomplete
+        head, takes the narrower rule: it jumps only after a cycle in
+        which no stage did anything (SMT cores do the same in their own
+        ``step_cycle``).  ``fast_forward=False`` steps every cycle, which
+        makes the loop the per-cycle reference the fast-forward oracle
+        compares against.
         """
+        now = self.cycle
+        events = self._events
         progress = 0
-        if self._events:
-            progress += self._process_events()
+        if events and events[0][0] <= now:
+            progress = self._process_events()
         progress += self._commit_stage()
         if self._ready:
             progress += self._issue_stage()
-        # a StaticPolicy never acts: skip its tick (and the per-cycle
-        # decision allocation) entirely — observable behaviour identical
+        # an inert (static or pinned) policy never acts: skip its tick
+        # (and the per-cycle decision allocation) entirely
         if not self._policy_inert and self._policy_stage():
             progress += 1
-        progress += self._dispatch_stage()
-        progress += self._fetch_stage()
-        if self._trace_done():
+        queue = self._decode_q
+        if queue:
+            progress += self._dispatch_stage()
+        # a stalled fetch counts the stall; else it needs buffer room
+        if now < self._fetch_stall_until or len(queue) < FETCH_BUFFER:
+            progress += self._fetch_stage()
+        if self._trace_idx >= self._n_trace_ops and self._trace_done():
             return 0
-        if progress == 0 and not self._ready:
-            jump = self._next_interesting_cycle()
-            if jump is None:
-                raise DeadlockError(self._deadlock_report(
-                    "no events, no timers, nothing in flight"))
-            return max(1, jump - self.cycle) if self.fast_forward else 1
-        return 1
+        if self._ready:
+            return 1
+        if progress:
+            if self.runahead is not None:
+                return 1    # the narrower rule (see above)
+            # step by one while any stage can make progress next cycle
+            if not self._policy_inert and self.policy.wants_tick_every_cycle:
+                return 1
+            rob = self.rob
+            if rob and rob[0].complete:
+                return 1
+            if (now >= self._fetch_stall_until and len(queue) < FETCH_BUFFER
+                    and (self._wrong_mode
+                         or self._trace_idx < self._n_trace_ops)):
+                return 1
+            if (queue and not self._stop_alloc
+                    and now >= self._alloc_stall_until
+                    and queue[0][0] <= now):
+                window = self.window
+                if (window.rob.occupancy < window.rob.capacity
+                        and window.iq.occupancy < window.iq.capacity
+                        and (not queue[0][1].uop.is_mem
+                             or window.lsq.occupancy < window.lsq.capacity)):
+                    return 1
+        target = self._next_interesting_cycle()
+        if target is None:
+            raise DeadlockError(self._deadlock_report(
+                "no events, no timers, nothing in flight"))
+        if not self.fast_forward or target == now + 1:
+            return 1
+        self._last_stall_reason = self._classify_commit_block()
+        return target - now
 
     def _deadlock_report(self, headline: str) -> str:
         """Diagnostic dump raised with a :class:`DeadlockError`.
@@ -909,13 +1019,20 @@ class Processor:
         return "\n".join(lines)
 
     def advance(self, delta: int) -> None:
-        """Account ``delta`` cycles and move the clock."""
-        self._advance_accounting(delta)
+        """Move the clock ``delta`` cycles (the cycle-proportional
+        statistics follow per segment, see :meth:`_account_cycles`)."""
+        if delta > 1:
+            self._advance_accounting(delta)
         self.cycle += delta
 
     def run(self, until_committed: int, max_cycles: int | None = None) -> None:
         """Advance until ``committed_total`` reaches ``until_committed``,
-        the trace drains, or ``max_cycles`` is exceeded (error)."""
+        the trace drains, or ``max_cycles`` is exceeded (error).
+
+        This is the one single-thread cycle loop: ``step_cycle`` runs
+        the stages and ``advance`` accounts the cycles, both looked up
+        on the instance, so the sanitizer, telemetry probe, tracer and
+        stage profiler observe it by wrapping those methods."""
         if max_cycles is None:
             # Livelock bound on cycles elapsed *this call*: size it from
             # the commits still to go, not the absolute target — a run()
@@ -935,7 +1052,12 @@ class Processor:
             delta = step()
             if delta == 0:
                 break
+            if delta > 1 and self.committed_total >= until_committed:
+                # the cycle that reaches the target is accounted alone:
+                # a jump past it would charge cycles the run does not own
+                delta = 1
             advance(delta)
+        self._account_cycles()
 
     def _trace_done(self) -> bool:
         if self.runahead is not None and self.runahead.active:
@@ -956,35 +1078,41 @@ class Processor:
         return self._trace_done()
 
     def _next_interesting_cycle(self) -> int | None:
+        """The earliest future cycle at which some stage can act: the
+        event-heap head, a fetch or allocation stall release, the
+        decode-queue head, or the policy's wish or timer."""
         now = self.cycle
-        candidates = []
-        if self._events:
-            candidates.append(self._events[0][0])
-        if self._fetch_stall_until > now:
-            candidates.append(self._fetch_stall_until)
-        if self._alloc_stall_until > now:
-            candidates.append(self._alloc_stall_until)
+        target = None
+        events = self._events
+        if events and events[0][0] > now:
+            target = events[0][0]
+        release = self._fetch_stall_until
+        if release > now and (target is None or release < target):
+            target = release
+        release = self._alloc_stall_until
+        if release > now and (target is None or release < target):
+            target = release
         if self._decode_q:
-            head_ready = self._decode_q[0][0]
-            if head_ready > now:
-                candidates.append(head_ready)
+            release = self._decode_q[0][0]
+            if release > now and (target is None or release < target):
+                target = release
         # an inert (static or pinned) policy never acts, so its per-cycle
         # wishes and timers must not shape fast-forwarding either — a
         # pinned run has to take the exact jump sequence of a static one
-        if not self._policy_inert and self.policy.wants_tick_every_cycle:
-            candidates.append(now + 1)
-        future = [c for c in candidates if c > now]
-        machine_next = min(future) if future else None
-        timer = None if self._policy_inert else self.policy.next_timer()
-        if (timer is not None and timer > now
-                and (machine_next is None or timer < machine_next)):
-            # the policy timer alone wakes the core: tag the jump so the
-            # skipped commit slots are charged to the controller, not to
-            # the stall reason that happened to precede the jump
-            self._ff_timer_jump = True
-            return timer
+        if not self._policy_inert:
+            policy = self.policy
+            if policy.wants_tick_every_cycle:
+                target = now + 1
+            timer = policy.next_timer()
+            if (timer is not None and timer > now
+                    and (target is None or timer < target)):
+                # the policy timer alone wakes the core: tag the jump so
+                # the skipped commit slots are charged to the controller,
+                # not to the stall reason that happened to precede it
+                self._ff_timer_jump = True
+                return timer
         self._ff_timer_jump = False
-        return machine_next
+        return target
 
     # ------------------------------------------------------------------
     # measurement control and result extraction
@@ -1051,12 +1179,14 @@ class Processor:
         their counters are zeroed exactly once, not once per core.
         """
         self.stats.reset()
+        self._seg_start = self.cycle
         self.hierarchy.reset_measurement()
         self.predictor.predictions = 0
         self.predictor.mispredictions = 0
 
     def result(self) -> SimulationResult:
         """Snapshot the measured statistics into a result record."""
+        self._account_cycles()
         stats = self.stats
         return SimulationResult(
             program=self.trace.name,
@@ -1084,6 +1214,23 @@ class Processor:
             },
             stats=stats,
         )
+
+
+#: Names accepted for ``simulate(engine=)`` and :func:`get_engine`.
+#: Both run the one stepper (:meth:`Processor.run`), so the choice never
+#: changes a result.
+ENGINE_NAMES: tuple[str, ...] = ("reference", "fast")
+
+
+def get_engine(name: str) -> SimpleNamespace:
+    """Resolve an engine name; the result's ``run(proc, until_committed,
+    max_cycles=None)`` calls :meth:`Processor.run` for either name."""
+    if name not in ENGINE_NAMES:
+        raise ValueError(f"unknown engine {name!r} "
+                         f"(known: {', '.join(ENGINE_NAMES)})")
+    return SimpleNamespace(run=lambda proc, until_committed,
+                           max_cycles=None: proc.run(until_committed,
+                                                     max_cycles))
 
 
 def simulate(config: ProcessorConfig, trace: "Trace",
@@ -1120,31 +1267,25 @@ def simulate(config: ProcessorConfig, trace: "Trace",
     (the digest-neutrality invariant of :mod:`repro.telemetry`, enforced
     by ``tests/test_telemetry.py``).
 
-    ``engine`` selects the main-loop backend (``"reference"`` or
-    ``"fast"``, see :mod:`repro.pipeline.engine`); ``None`` falls back
-    to ``config.engine``.  Engines are behaviourally identical — the
-    choice never appears in a result key or digest — so it is a pure
-    host-speed knob.  The fast engine transparently defers to the
-    reference stepper whenever per-cycle observers are attached
-    (``sanitize=True``, ``telemetry``, ``fast_forward=False``).
+    ``engine`` accepts ``"reference"`` or ``"fast"`` (see
+    :data:`ENGINE_NAMES`); both run the same stepper, so the result is
+    identical either way.
     """
     if len(trace.ops) < warmup + measure:
         raise ValueError(
             f"trace has {len(trace.ops)} ops; need {warmup + measure}")
-    # Imported here: repro.pipeline.engine imports this module.
-    from repro.pipeline.engine import get_engine
-    eng = get_engine(engine if engine is not None
-                     else getattr(config, "engine", "reference"))
+    if engine is not None:
+        get_engine(engine)
     proc = Processor(config, trace, policy=policy, sanitize=sanitize)
     proc.fast_forward = fast_forward
     if prewarm:
         proc.prewarm()
     if warmup:
-        eng.run(proc, until_committed=warmup)
+        proc.run(until_committed=warmup)
         proc.reset_measurement()
     if telemetry is not None:
         telemetry.attach(proc)
-    eng.run(proc, until_committed=warmup + measure)
+    proc.run(until_committed=warmup + measure)
     if proc.debug is not None:
         proc.debug.final_check()
     if telemetry is not None:

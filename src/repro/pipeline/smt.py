@@ -15,13 +15,15 @@ which thread fetches each cycle.
 Design notes:
 
 * :class:`SMTProcessor` subclasses :class:`~repro.pipeline.core.
-  Processor` and inherits the thread-agnostic machinery unchanged
-  (event heap, global oldest-first issue, wakeup propagation, the
-  ``step_cycle`` stage order).  Thread-dependent stages (fetch,
-  dispatch, commit, squash, policy) are overridden.  With one thread
-  and a static partition every override reduces exactly to the
-  baseline stage, which is what makes the single-thread-SMT ≡ baseline
-  digest oracle (``python -m repro.verify smt``) hold bit-for-bit.
+  Processor` and inherits the thread-agnostic machinery (event heap,
+  wakeup propagation, the ``step_cycle`` stage order).  The stages are
+  overridden: fetch, dispatch, commit, squash and policy are
+  thread-dependent, and the event and issue stages keep per-op hooks
+  (``_complete_op``, ``_issue_op``) that route each op to its thread.
+  With one thread and a static partition every override reduces
+  exactly to the baseline stage, which is what makes the
+  single-thread-SMT ≡ baseline digest oracle (``python -m repro.verify
+  smt``) hold bit-for-bit.
 * Threads are address-space disjoint: thread ``t``'s data addresses
   are offset by ``t * 0x100_0000_0000`` and its PCs by
   ``t * 0x10_0000`` at every hierarchy access, so the shared caches
@@ -34,9 +36,10 @@ Design notes:
   occupancy exceeds its new quota simply cannot dispatch until it
   drains — the SMT analogue of the paper's ``stop_alloc`` drain, so
   the detectors run against an always-shrinkable window view.
-* Engines: :func:`repro.pipeline.engine._must_defer` returns True for
-  SMT processors, so the FastEngine explicitly falls back to this
-  module's reference stepper.
+* Stepping: :meth:`SMTProcessor.step_cycle` runs the same stage order
+  as the single-thread stepper but jumps idle cycles only after a cycle
+  in which no stage did anything, and accounts every cycle as it
+  advances (per thread).
 
 Per-thread stall-slot CPI attribution (digest-excluded) is not
 maintained; every digest-visible counter is kept per thread.
@@ -45,7 +48,7 @@ maintained; every digest-visible counter is kept per thread.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import TYPE_CHECKING
 
 from repro.config import ModelKind, ProcessorConfig
@@ -63,6 +66,7 @@ from repro.pipeline.core import (
     Processor,
     _EV_COMPLETE,
     _EV_WAKE,
+    _FU_INDEX,
 )
 from repro.stats import SimStats, SimulationResult, mlp_from_intervals
 
@@ -166,8 +170,6 @@ class SMTThread:
 
 class SMTProcessor(Processor):
     """One SMT core running 2-4 traces over a shared window."""
-
-    is_smt = True
 
     def __init__(self, config: ProcessorConfig, traces: list["Trace"],
                  validate: bool = False) -> None:
@@ -281,6 +283,18 @@ class SMTProcessor(Processor):
     # ------------------------------------------------------------------
     # events / completion
 
+    def _process_events(self) -> int:
+        processed = 0
+        events = self._events
+        while events and events[0][0] <= self.cycle:
+            __, ___, kind, payload = _heappop(events)
+            processed += 1
+            if kind == _EV_COMPLETE:
+                self._complete_op(payload)
+            else:
+                self._wake_consumers(payload)
+        return processed
+
     def _complete_op(self, op: SMTOp) -> None:
         if op.squashed or op.complete:
             return
@@ -289,8 +303,12 @@ class SMTProcessor(Processor):
         thread = self.threads[op.tid]
         if op.uop.is_branch and op.branch_token is not None:
             self._resolve_branch(op)
-        if op.uop.is_store:
-            self._store_executed(op)
+        if op.uop.is_store and op.fwd_waiters:
+            # the store executed: satisfy loads waiting to forward
+            for load in op.fwd_waiters:
+                if not load.squashed:
+                    self._schedule(self.cycle + 1, _EV_COMPLETE, load)
+            op.fwd_waiters = None
         if op.l2_miss and not op.wrong_path and op.uop.is_load:
             if thread.outstanding_misses > 0:
                 thread.outstanding_misses -= 1
@@ -386,7 +404,6 @@ class SMTProcessor(Processor):
         self._commit_rr = start + 1 if start + 1 < n else 0
         if committed:
             window.committed += committed
-        self._last_stall_reason = None
         return committed
 
     def _commit_op(self, op: SMTOp) -> None:
@@ -421,7 +438,37 @@ class SMTProcessor(Processor):
         stats.activity.rob_reads += 1
 
     # ------------------------------------------------------------------
-    # issue (the global stage is inherited; per-op hooks are per-thread)
+    # issue: global oldest-first select; per-op hooks are per-thread
+
+    def _issue_stage(self) -> int:
+        ready = self._ready
+        issued = 0
+        budget = self._width
+        fu_used = [0, 0, 0, 0, 0]
+        fu_limits = self._fu_limit_vec
+        deferred: list[tuple[int, SMTOp]] = []
+        defer = deferred.append
+        scans = 0
+        now = self.cycle
+        while ready and issued < budget and scans < 32:
+            scans += 1
+            item = _heappop(ready)
+            op = item[1]
+            if op.squashed or op.issued:
+                continue
+            if op.ready_cycle > now:
+                defer(item)
+                continue
+            pool = _FU_INDEX[op.uop.op]
+            if fu_used[pool] >= fu_limits[pool]:
+                defer(item)
+                continue
+            fu_used[pool] += 1
+            self._issue_op(op)
+            issued += 1
+        for item in deferred:
+            _heappush(ready, item)
+        return issued
 
     def _issue_op(self, op: SMTOp) -> None:
         now = self.cycle
@@ -687,7 +734,33 @@ class SMTProcessor(Processor):
     # ------------------------------------------------------------------
     # main loop plumbing
 
-    def _advance_accounting(self, delta: int) -> None:
+    def step_cycle(self) -> int:
+        """One cycle through every stage (the single-thread order).
+        Returns 1 while anything moved, else the jump to the next
+        interesting cycle, and 0 once every thread has drained."""
+        progress = 0
+        if self._events:
+            progress += self._process_events()
+        progress += self._commit_stage()
+        if self._ready:
+            progress += self._issue_stage()
+        if not self._policy_inert and self._policy_stage():
+            progress += 1
+        progress += self._dispatch_stage()
+        progress += self._fetch_stage()
+        if self._trace_done():
+            return 0
+        if progress == 0 and not self._ready:
+            jump = self._next_interesting_cycle()
+            if jump is None:
+                raise DeadlockError(self._deadlock_report(
+                    "no events, no timers, nothing in flight"))
+            return max(1, jump - self.cycle) if self.fast_forward else 1
+        return 1
+
+    def advance(self, delta: int) -> None:
+        """Account ``delta`` cycles to every thread and move the clock
+        (eagerly, so the base class's accounting segment stays empty)."""
         now = self.cycle
         __, ___, ____, iq_m, rob_m, lsq_m = self._cap_vec
         for thread in self.threads:
@@ -704,6 +777,7 @@ class SMTProcessor(Processor):
             if now < thread.alloc_stall_until:
                 stats.transition_stall_cycles += min(
                     delta, thread.alloc_stall_until - now)
+        self.cycle = self._seg_start = now + delta
 
     def _trace_done(self) -> bool:
         for thread in self.threads:
@@ -982,32 +1056,27 @@ class SMTRun:
 
 def simulate_smt(config: ProcessorConfig, traces: list["Trace"],
                  warmup: int = 3_000, measure: int = 8_000,
-                 prewarm: bool = True, engine: str | None = None,
+                 prewarm: bool = True,
                  validate: bool = False) -> SMTRun:
     """Run one SMT core over per-thread traces and return all results.
 
     Mirrors :func:`repro.pipeline.core.simulate`: prewarm, run until
     every thread commits ``warmup`` ops, reset measurement, run until
-    every thread commits ``warmup + measure``.  ``engine`` resolves via
-    the PR 6 engine interface; the fast engine detects ``is_smt`` and
-    explicitly falls back to the SMT reference stepper.  ``validate``
-    checks the partition invariants after every step (slow; the verify
-    oracles use it).
+    every thread commits ``warmup + measure``.  ``validate`` checks the
+    partition invariants after every step (slow; the verify oracles use
+    it).
     """
     for trace in traces:
         if len(trace.ops) < warmup + measure:
             raise ValueError(f"trace {trace.name!r} has {len(trace.ops)} "
                              f"ops; need {warmup + measure}")
-    from repro.pipeline.engine import get_engine
-    eng = get_engine(engine if engine is not None
-                     else getattr(config, "engine", "reference"))
     proc = SMTProcessor(config, traces, validate=validate)
     if prewarm:
         proc.prewarm()
     if warmup:
-        eng.run(proc, until_committed=warmup)
+        proc.run(until_committed=warmup)
         proc.reset_measurement()
-    eng.run(proc, until_committed=warmup + measure)
+    proc.run(until_committed=warmup + measure)
     if validate:
         proc.check_invariants()
     return SMTRun(threads=proc.results(), aggregate=proc.aggregate_result())

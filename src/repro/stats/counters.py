@@ -92,12 +92,18 @@ class SimStats:
         """Charge ``cycles`` of residency at ``level`` (Fig 8)."""
         self.level_cycles[level] = self.level_cycles.get(level, 0) + cycles
 
-    def note_mispredict_commit(self) -> None:
+    def note_mispredict_commit(self, committed_uops: int | None = None) -> None:
         """A mispredicted branch committed; record the distance since the
-        previous one in committed instructions (Table 5)."""
-        distance = self.committed_uops - self._last_mispredict_commit
-        self.mispredict_distances.append(distance)
-        self._last_mispredict_commit = self.committed_uops
+        previous one in committed instructions (Table 5).
+
+        ``committed_uops`` is the commit count including that branch,
+        for callers that add ``committed_uops`` once per commit stage
+        (default: the current count)."""
+        if committed_uops is None:
+            committed_uops = self.committed_uops
+        self.mispredict_distances.append(
+            committed_uops - self._last_mispredict_commit)
+        self._last_mispredict_commit = committed_uops
 
     # ------------------------------------------------------------------
 

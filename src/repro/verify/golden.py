@@ -42,20 +42,13 @@ def _config_for(model: str):
     raise ValueError(f"unknown golden model {model!r}")
 
 
-def compute_digests(programs, models=GOLDEN_MODELS,
-                    engine: str | None = None) -> dict[str, dict[str, str]]:
-    """Digest every (program, model) golden cell at smoke scale.
-
-    ``engine`` selects the main-loop backend; digests are engine-
-    independent by contract, so ``check --engine fast`` doubles as an
-    equivalence check against reference-computed goldens.
-    """
+def compute_digests(programs, models=GOLDEN_MODELS) -> dict[str, dict[str, str]]:
+    """Digest every (program, model) golden cell at smoke scale."""
     digests: dict[str, dict[str, str]] = {}
     for program in programs:
         trace = smoke_trace(program)
         digests[program] = {
-            model: result_digest(_smoke_run(_config_for(model), trace,
-                                            engine=engine))
+            model: result_digest(_smoke_run(_config_for(model), trace))
             for model in models}
     return digests
 
@@ -88,17 +81,12 @@ def write_golden(path: str = GOLDEN_PATH, programs=None,
     return payload
 
 
-def check_golden(path: str = GOLDEN_PATH,
-                 engine: str | None = None, programs=None) -> list:
+def check_golden(path: str = GOLDEN_PATH) -> list:
     """Compare freshly computed digests against the committed file.
 
     Returns :class:`~repro.verify.oracles.OracleOutcome` records, one
     per golden cell plus one for the version key, so a drift report
-    names exactly which program/model cells moved.  ``engine`` selects
-    the backend recomputing the digests (the committed file is always
-    regenerated with the reference engine; any backend must reproduce
-    it bit for bit).  ``programs`` restricts the check to those rows
-    of the file (default: every row).
+    names exactly which program/model cells moved.
     """
     from repro.pipeline.core import SIM_VERSION
     from repro.verify.oracles import OracleOutcome
@@ -120,10 +108,9 @@ def check_golden(path: str = GOLDEN_PATH,
         # drifted; the version line already says what to do
         return outcomes
     recorded = golden.get("digests", {})
-    if programs is None:
-        programs = golden.get("corpus", {}).get("programs", list(recorded))
+    programs = golden.get("corpus", {}).get("programs", list(recorded))
     models = golden.get("corpus", {}).get("models", list(GOLDEN_MODELS))
-    fresh = compute_digests(programs, models, engine=engine)
+    fresh = compute_digests(programs, models)
     for program in programs:
         for model in models:
             want = recorded.get(program, {}).get(model)

@@ -1,10 +1,9 @@
-"""The pluggable execution-engine layer (:mod:`repro.pipeline.engine`).
+"""The one cycle loop (:meth:`Processor.run`) and its engine names.
 
-The heavyweight guarantee — digest bit-identity between the reference
-and fast engines over the full program table — lives in the
-``engine-equivalence`` oracle (``python -m repro.verify engines``).
-These tests pin the plumbing around it: engine selection, the
-sanitizer/telemetry fallback rule, segmented-run equivalence, and the
+``simulate(engine=)`` and :func:`get_engine` accept ``reference`` and
+``fast``, and both run the same stepper.  These tests pin that, the
+neutrality of observers (attaching one changes neither the number of
+loop iterations nor the result), segmented-run equivalence and the
 elapsed-based livelock bound of :meth:`Processor.run`.
 """
 
@@ -18,13 +17,13 @@ from repro.config import base_config, dynamic_config
 from repro.debug.errors import DeadlockError
 from repro.pipeline import (
     ENGINE_NAMES,
-    FastEngine,
+    PipelineTracer,
     Processor,
-    ReferenceEngine,
     get_engine,
     simulate,
 )
-from repro.pipeline.engine import _must_defer
+from repro.telemetry import TelemetryProbe
+from repro.telemetry.profiler import StageProfiler
 from repro.verify.digest import result_digest
 from repro.workloads import generate_trace, profile
 
@@ -33,58 +32,83 @@ def _trace(program="leslie3d", n_ops=4_000, seed=1):
     return generate_trace(profile(program), n_ops=n_ops, seed=seed)
 
 
+def _all_fields(result) -> dict:
+    """Every ``SimulationResult`` field, with ``stats`` spelled out."""
+    fields = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result)}
+    stats = fields.pop("stats")
+    for name, value in vars(stats).items():
+        fields[f"stats.{name}"] = (value.as_dict() if name == "activity"
+                                   else value)
+    return fields
+
+
 class TestEngineSelection:
     def test_registry(self):
         assert ENGINE_NAMES == ("reference", "fast")
-        assert isinstance(get_engine("reference"), ReferenceEngine)
-        assert isinstance(get_engine("fast"), FastEngine)
+        for name in ENGINE_NAMES:
+            assert callable(get_engine(name).run)
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ValueError, match="unknown engine"):
             get_engine("warp")
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate(base_config(), _trace(n_ops=2_500), warmup=500,
+                     measure=1_500, engine="warp")
 
-    def test_simulate_engine_argument_overrides_config(self):
-        trace = _trace(n_ops=2_500)
-        config = dataclasses.replace(base_config(), engine="fast")
-        ref = simulate(config, trace, warmup=500, measure=1_500,
+    @pytest.mark.parametrize("program", ["milc", "gcc"])
+    def test_every_result_field_equal_across_engine_names(self, program):
+        trace = _trace(program, n_ops=3_000)
+        ref = simulate(dynamic_config(3), trace, warmup=500, measure=2_000,
                        engine="reference")
-        fast = simulate(config, trace, warmup=500, measure=1_500)
-        assert result_digest(ref) == result_digest(fast)
+        fast = simulate(dynamic_config(3), trace, warmup=500, measure=2_000,
+                        engine="fast")
+        ref_fields, fast_fields = _all_fields(ref), _all_fields(fast)
+        assert ref_fields.keys() == fast_fields.keys()
+        for name in ref_fields:
+            assert ref_fields[name] == fast_fields[name], name
 
 
-class TestFallbackRule:
-    """Per-cycle observers force the reference stepper (the fast loop
-    would be invisible to them)."""
-
-    def _proc(self, **kwargs):
-        proc = Processor(base_config(), _trace(n_ops=1_000), **kwargs)
-        return proc
-
-    def test_plain_processor_is_eligible(self):
-        assert not _must_defer(self._proc())
-
-    def test_sanitizer_defers(self):
-        assert _must_defer(self._proc(sanitize=True))
-
-    def test_no_fast_forward_defers(self):
-        proc = self._proc()
-        proc.fast_forward = False
-        assert _must_defer(proc)
-
-    def test_shadowed_step_cycle_defers(self):
-        proc = self._proc()
-        proc.step_cycle = proc.step_cycle   # bound-method shadowing
-        assert _must_defer(proc)
-
-    def test_telemetry_defers(self):
-        from repro.telemetry import TelemetryProbe
-        proc = self._proc()
+def _attach(proc, observer: str) -> None:
+    if observer == "telemetry":
         TelemetryProbe(period=64).attach(proc)
-        assert _must_defer(proc)
+    elif observer == "tracer":
+        PipelineTracer(proc, capacity=64)
+    elif observer == "profiler":
+        StageProfiler().attach(proc)
+
+
+def _counted_run(program: str, observer: str | None):
+    """Run with ``observer`` attached; returns (step_cycle calls, digest)."""
+    proc = Processor(dynamic_config(3), _trace(program, n_ops=3_000),
+                     sanitize=observer == "sanitizer")
+    proc.prewarm()
+    if observer is not None:
+        _attach(proc, observer)
+    steps = [0]
+    inner = proc.step_cycle
+
+    def counting_step() -> int:
+        steps[0] += 1
+        return inner()
+
+    proc.step_cycle = counting_step
+    proc.run(until_committed=2_000)
+    return steps[0], result_digest(proc.result())
+
+
+class TestObservers:
+    """Observers hook the one stepper's methods; attaching one must not
+    change how it steps or what it computes."""
+
+    @pytest.mark.parametrize("program", ["milc", "gcc"])
+    @pytest.mark.parametrize("observer",
+                             ["telemetry", "sanitizer", "tracer", "profiler"])
+    def test_observer_keeps_iterations_and_digest(self, observer, program):
+        assert (_counted_run(program, observer)
+                == _counted_run(program, None))
 
     def test_sanitized_simulate_still_digest_identical(self):
-        # engine="fast" with sanitize=True must transparently defer —
-        # and therefore still produce the reference digest
         trace = _trace(n_ops=2_500)
         plain = simulate(base_config(), trace, warmup=500, measure=1_500)
         checked = simulate(base_config(), trace, warmup=500, measure=1_500,
@@ -93,26 +117,25 @@ class TestFallbackRule:
 
 
 class TestSegmentedRuns:
-    def test_fast_engine_resumes_across_segments(self):
-        """Chopping one run into arbitrary fast-engine segments must
-        land on the same state as one reference run (the warmup/measure
-        split in simulate() relies on exactly this)."""
+    def test_run_resumes_across_segments(self):
+        """Chopping one run into arbitrary segments must land on the
+        same state as one run (the warmup/measure split in simulate()
+        relies on exactly this)."""
         trace = _trace("milc", n_ops=4_000)
         config = dynamic_config(3)
 
-        ref = Processor(config, trace)
-        ref.prewarm()
-        ref.run(until_committed=3_000)
+        whole = Processor(config, trace)
+        whole.prewarm()
+        whole.run(until_committed=3_000)
 
-        fast = Processor(config, trace)
-        fast.prewarm()
-        engine = get_engine("fast")
+        chopped = Processor(config, trace)
+        chopped.prewarm()
         for target in (700, 1_234, 2_999, 3_000):
-            engine.run(fast, until_committed=target)
-        assert fast.cycle == ref.cycle
-        assert fast.committed_total == ref.committed_total
-        assert (result_digest(fast.result())
-                == result_digest(ref.result()))
+            chopped.run(until_committed=target)
+        assert chopped.cycle == whole.cycle
+        assert chopped.committed_total == whole.committed_total
+        assert (result_digest(chopped.result())
+                == result_digest(whole.result()))
 
 
 class TestLivelockBound:

@@ -9,7 +9,9 @@ squash tail-retraction, CAM holes) the shrink-vacancy measurement
 rests on.
 """
 
+import heapq
 import json
+import types
 
 import pytest
 
@@ -299,6 +301,23 @@ class TestFailurePaths:
         proc.run(until_committed=200)
         with pytest.raises(SanitizerError, match="scheduled in the past"):
             proc._schedule(proc.cycle - 1, 0, None)
+
+    def test_inline_push_in_the_past_detected(self, libquantum_trace):
+        """The stages push events onto the heap inline, past _schedule;
+        the end-of-step heap check must catch one in the past."""
+        proc = Processor(fixed_config(1), libquantum_trace, sanitize=True)
+        proc.run(until_committed=200)
+        inner = proc._commit_stage
+
+        def commit_pushing_into_the_past() -> int:
+            heapq.heappush(proc._events, (proc.cycle - 1, -1, 1,
+                                          types.SimpleNamespace(
+                                              consumers=None)))
+            return inner()
+
+        proc._commit_stage = commit_pushing_into_the_past
+        with pytest.raises(SanitizerError, match="scheduled in the past"):
+            proc.run(until_committed=210)
 
 
 # ----------------------------------------------------------------------

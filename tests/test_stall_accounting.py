@@ -121,5 +121,19 @@ def test_dynamic_run_attributes_timer_waits(libquantum_trace):
     assert proc.stats.stall_slots.get("policy_timer", 0) > 0
 
 
+@pytest.mark.parametrize("level", [1, 3])
+def test_jumps_attribute_like_per_cycle_stepping(libquantum_trace, level):
+    """A jump charges its skipped slots to the commit-block reason
+    classified at the jump; with a static policy (no timers) the CPI
+    stack must equal stepping every cycle."""
+    stacks = []
+    for fast_forward in (True, False):
+        proc = Processor(fixed_config(level), libquantum_trace)
+        proc.fast_forward = fast_forward
+        proc.run(until_committed=4_000)
+        stacks.append(dict(proc.stats.stall_slots))
+    assert stacks[0] == stacks[1]
+
+
 def test_policy_timer_is_a_cpi_component():
     assert "policy_timer" in COMPONENTS
